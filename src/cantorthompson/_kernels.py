@@ -1,13 +1,9 @@
 """Hot numeric kernels: twist-map evaluation over complex meshes.
 
-Two interchangeable implementations of the same formulas:
-
-* a pure-numpy vectorized path (always available), and
-* numba @njit loops over the same scalar recurrences (used when numba is
-  importable and ``CANTORTHOMPSON_DISABLE_NUMBA`` is not set).
-
-``psi0_apply`` / ``psi1_apply`` / ``region_ids`` point at the selected path;
-both paths stay importable for the agreement tests and the benchmark.
+``psi0_apply`` / ``psi1_apply`` / ``region_ids`` are numpy-vectorized; the
+scalar ``_psi*_point`` / ``_region*_point`` functions evaluate the same
+formulas at one point, for ``twist_map_eval`` and as the reference the
+kernels are tested against.
 
 Geometry of the maps (lengths in units of L = |I_n^1|, q = q_n):
 
@@ -22,11 +18,8 @@ Geometry of the maps (lengths in units of L = |I_n^1|, q = q_n):
 from __future__ import annotations
 
 import cmath
-import os
 
 import numpy as np
-
-DISABLE_ENV = "CANTORTHOMPSON_DISABLE_NUMBA"
 
 
 def _psi0_point(z: complex, L: float, q: float) -> complex:
@@ -84,10 +77,10 @@ def _region1_point(z: complex, L: float, q: float) -> int:
     return 0
 
 
-# -- pure-numpy vectorized path --
+# -- numpy-vectorized kernels --
 
 
-def psi0_apply_numpy(z: np.ndarray, L: float, q: float) -> np.ndarray:
+def psi0_apply(z: np.ndarray, L: float, q: float) -> np.ndarray:
     z = np.asarray(z, dtype=np.complex128)
     c = 0.5 * L
     w = z - c
@@ -103,7 +96,7 @@ def psi0_apply_numpy(z: np.ndarray, L: float, q: float) -> np.ndarray:
     return out
 
 
-def psi1_apply_numpy(z: np.ndarray, L: float, q: float) -> np.ndarray:
+def psi1_apply(z: np.ndarray, L: float, q: float) -> np.ndarray:
     z = np.asarray(z, dtype=np.complex128)
     out = z.copy()
     r_in = 0.25 * (1.0 - q) * L
@@ -121,13 +114,13 @@ def psi1_apply_numpy(z: np.ndarray, L: float, q: float) -> np.ndarray:
     return out
 
 
-def region_ids_numpy(z: np.ndarray, L: float, q: float) -> np.ndarray:
+def region_ids(z: np.ndarray, L: float, q: float) -> np.ndarray:
     """Smoothness cell of each point: region0(z) * 8 + region1(psi0(z))."""
     z = np.asarray(z, dtype=np.complex128)
     rho0 = np.abs(z - 0.5 * L)
     r_out0 = (1.0 + 3.0 * q) / (2.0 * (1.0 - q)) * L
     reg0 = np.where(rho0 <= 0.5 * L, 2, np.where(rho0 < r_out0, 1, 0))
-    zz = psi0_apply_numpy(z, L, q)
+    zz = psi0_apply(z, L, q)
     r_in = 0.25 * (1.0 - q) * L
     r_out = 0.25 * (1.0 + q) * L
     rho1 = np.abs(zz - 0.25 * (1.0 - q) * L)
@@ -138,65 +131,3 @@ def region_ids_numpy(z: np.ndarray, L: float, q: float) -> np.ndarray:
         np.where(rho1 < r_out, 1, np.where(rho2 <= r_in, 4, np.where(rho2 < r_out, 3, 0))),
     )
     return reg0 * 8 + reg1
-
-
-# -- numba path (same scalar formulas, jitted loops) --
-
-_use_numba = os.environ.get(DISABLE_ENV, "") == ""
-if _use_numba:
-    try:
-        from numba import njit
-    except ImportError:  # pragma: no cover
-        _use_numba = False
-
-if _use_numba:
-    _psi0_scalar = njit(cache=True)(_psi0_point)
-    _psi1_scalar = njit(cache=True)(_psi1_point)
-    _region0_scalar = njit(cache=True)(_region0_point)
-    _region1_scalar = njit(cache=True)(_region1_point)
-
-    @njit(cache=True)
-    def _psi0_grid(z, L, q):
-        out = np.empty_like(z)
-        for i in range(z.size):
-            out.flat[i] = _psi0_scalar(z.flat[i], L, q)
-        return out
-
-    @njit(cache=True)
-    def _psi1_grid(z, L, q):
-        out = np.empty_like(z)
-        for i in range(z.size):
-            out.flat[i] = _psi1_scalar(z.flat[i], L, q)
-        return out
-
-    @njit(cache=True)
-    def _region_grid(z, L, q):
-        out = np.empty(z.shape, dtype=np.int64)
-        for i in range(z.size):
-            zz = z.flat[i]
-            out.flat[i] = _region0_scalar(zz, L, q) * 8 + _region1_scalar(
-                _psi0_scalar(zz, L, q), L, q
-            )
-        return out
-
-    def psi0_apply_numba(z, L, q):
-        return _psi0_grid(np.ascontiguousarray(z, dtype=np.complex128), float(L), float(q))
-
-    def psi1_apply_numba(z, L, q):
-        return _psi1_grid(np.ascontiguousarray(z, dtype=np.complex128), float(L), float(q))
-
-    def region_ids_numba(z, L, q):
-        return _region_grid(np.ascontiguousarray(z, dtype=np.complex128), float(L), float(q))
-
-    psi0_apply = psi0_apply_numba
-    psi1_apply = psi1_apply_numba
-    region_ids = region_ids_numba
-    USING_NUMBA = True
-else:  # pragma: no cover - exercised via env flag in tests
-    psi0_apply_numba = None
-    psi1_apply_numba = None
-    region_ids_numba = None
-    psi0_apply = psi0_apply_numpy
-    psi1_apply = psi1_apply_numpy
-    region_ids = region_ids_numpy
-    USING_NUMBA = False

@@ -16,6 +16,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 
@@ -87,62 +88,50 @@ def annulus_modulus(r1: float, r2: float) -> float:
 
 
 @dataclass(frozen=True)
-class LengthModel:
-    """Per-depth length model for pants geodesics.
-
-    The only implemented mode is "upper_bound" (the collar-type bound), under
-    which the per-curve extremes collapse: m(d) = M(d) = length(d).  The
-    distinction is kept in the interface for a future per-curve model.
-    """
-
-    omega: CantorParams
-    mode: str = "upper_bound"
-
-    def __post_init__(self):
-        if self.mode != "upper_bound":
-            raise ValueError(f"unknown length model mode {self.mode!r}")
-
-    def length(self, d: int) -> float:
-        return length_upper_bound(self.omega, d)
-
-    def m(self, d: int) -> float:
-        """min over j of the modeled length of gamma_d^j."""
-        return self.length(d)
-
-    def M(self, d: int) -> float:
-        """max over j of the modeled length of gamma_d^j."""
-        return self.length(d)
-
-
-@dataclass(frozen=True)
 class DepthScale:
-    """Proxy length scale of a horizon: bounds[d] for d in 1..maxdepth+1."""
+    """Proxy length scale of a horizon: bounds[d] for d in 1..maxdepth+1.
+
+    tail_max[d] = max(bounds[d:]) for d in 0..maxdepth, so L(d) is a lookup.
+    """
 
     maxdepth: int
     bounds: tuple
     tail_certified: bool  # q nondecreasing => bound nonincreasing beyond the horizon
+    tail_max: tuple
+    delta_omega: float  # inf over d <= maxdepth of collar_width(L(d))
 
     def bound(self, d: int) -> float:
         return self.bounds[d - 1]
 
     def L(self, d: int) -> float:
         """sup of the proxy over depths >= d+1 (certified by monotonicity when possible)."""
-        tail = self.bounds[d:]
-        if not tail:
+        if d > self.maxdepth:
             raise ValueError(f"no depths beyond {d} at this horizon")
-        return max(tail)
-
-    @property
-    def delta_omega(self) -> float:
-        """inf over d <= maxdepth of collar_width(L(d))."""
-        return min(collar_width(self.L(d)) for d in range(1, self.maxdepth + 1) if self.L(d) > 0)
+        return self.tail_max[d]
 
 
 def depth_scale(w: CantorParams, maxdepth: int) -> DepthScale:
     if maxdepth < 2:
         raise ValueError("maxdepth must be >= 2")
     bounds = tuple(length_upper_bound(w, d) for d in range(1, maxdepth + 2))
-    return DepthScale(maxdepth, bounds, w.nondecreasing)
+    tail_max = tuple(accumulate(reversed(bounds), max))[::-1]
+    delta_omega = min(collar_width(L) for L in tail_max[1:] if L > 0)
+    return DepthScale(maxdepth, bounds, w.nondecreasing, tail_max, delta_omega)
+
+
+def _depth_of_K(w: CantorParams, K: float, maxdepth: int) -> tuple:
+    """d_of_K together with the depth scale its scan built."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    scale = depth_scale(w, maxdepth)
+    target = scale.delta_omega
+    for d in range(1, maxdepth + 1):
+        if K * scale.L(d) < target:
+            return d, scale
+    raise NotFoundWithinHorizon(
+        f"K*L(d) < delta(omega) fails for all d <= {maxdepth}: "
+        f"min K*L(d) = {K * scale.L(maxdepth):.6g}, delta(omega) = {target:.6g}"
+    )
 
 
 def d_of_K(w: CantorParams, K: float, maxdepth: int) -> int:
@@ -151,17 +140,7 @@ def d_of_K(w: CantorParams, K: float, maxdepth: int) -> int:
     Raises NotFoundWithinHorizon (never extrapolates) when no depth within the
     horizon satisfies the collar inequality.
     """
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    scale = depth_scale(w, maxdepth)
-    target = scale.delta_omega
-    for d in range(1, maxdepth + 1):
-        if K * scale.L(d) < target:
-            return d
-    raise NotFoundWithinHorizon(
-        f"K*L(d) < delta(omega) fails for all d <= {maxdepth}: "
-        f"min K*L(d) = {K * scale.L(maxdepth):.6g}, delta(omega) = {target:.6g}"
-    )
+    return _depth_of_K(w, K, maxdepth)[0]
 
 
 def count_NK(w: CantorParams, K: float, maxdepth: int) -> int:
@@ -173,10 +152,8 @@ def count_NK(w: CantorParams, K: float, maxdepth: int) -> int:
     strictly below the band floor by depth maxdepth+1, hence no deeper depth
     can re-enter.  HorizonTooSmall otherwise.
     """
-    dK = d_of_K(w, K, maxdepth)
-    scale = depth_scale(w, maxdepth)
-    model = LengthModel(w)
-    lo, hi = model.m(dK) / K, model.M(dK) * K
+    dK, scale = _depth_of_K(w, K, maxdepth)
+    lo, hi = scale.bound(dK) / K, scale.bound(dK) * K
     total = 0
     for d in range(1, maxdepth + 1):
         if lo <= scale.bound(d) <= hi:

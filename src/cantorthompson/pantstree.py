@@ -110,33 +110,32 @@ def pants_of(a) -> tuple:
 class PantsSubtree:
     """Subtree of the pants tree associated to an unbounded domain.
 
-    Canonically: the ordered set of boundary curves, whose iota_C intervals
-    partition [0,1].  Vertices are the boundary curves plus all their
-    ancestors plus the root sentinel.
+    A view of its image tree iota_C(T_W): the leaf addresses of that tree are
+    the bits() of the boundary curves, in left-to-right order.  Vertices are
+    the boundary curves plus all their ancestors plus the root sentinel.
     """
 
-    __slots__ = ("boundary",)
+    __slots__ = ("tree",)
 
     def __init__(self, boundary):
-        curves = sorted(boundary, key=lambda c: (c.bits()))
-        if not curves:
-            raise NotAPartition("empty boundary")
-        x = Dyadic(0)
-        for c in curves:
-            iv = iota_C(c)
-            if iv.lo != x:
-                raise NotAPartition(f"iota_C intervals leave a gap/overlap at {iv.lo}")
-            x = iv.hi
-        if x != Dyadic(1):
-            raise NotAPartition("iota_C intervals do not reach 1")
-        object.__setattr__(self, "boundary", tuple(curves))
+        curves = sorted(boundary, key=CurveAddress.bits)
+        try:
+            tree = Tree([c.bits() for c in curves])
+        except ValueError as exc:
+            raise NotAPartition(f"boundary curves do not form a pants subtree: {exc}") from exc
+        object.__setattr__(self, "tree", tree)
 
     def __setattr__(self, name, value):
         raise AttributeError("PantsSubtree is immutable")
 
     @property
+    def boundary(self) -> tuple:
+        """The boundary curves, in left-to-right order."""
+        return tuple(CurveAddress.from_bits(a) for a in self.tree.addresses)
+
+    @property
     def nleaves(self) -> int:
-        return len(self.boundary)
+        return self.tree.nleaves
 
     def vertices(self) -> set:
         """All vertices: boundary curves, their proper ancestors, and ROOT."""
@@ -151,19 +150,22 @@ class PantsSubtree:
 
     def to_tree(self) -> Tree:
         """The ordered rooted binary tree iota_C(T_W)."""
-        return Tree([c.bits() for c in self.boundary])
+        return self.tree
 
     @staticmethod
     def from_tree(tree: Tree) -> "PantsSubtree":
+        """View a tree as a subtree; the tree is already a valid tiling, so nothing is rechecked."""
         if tree.is_leaf:
             raise NotAPartition("the trivial tree has no pants curves on its boundary")
-        return PantsSubtree(CurveAddress.from_bits(a) for a in tree.addresses)
+        view = object.__new__(PantsSubtree)
+        object.__setattr__(view, "tree", tree)
+        return view
 
     def __eq__(self, other):
-        return isinstance(other, PantsSubtree) and self.boundary == other.boundary
+        return isinstance(other, PantsSubtree) and self.tree == other.tree
 
     def __hash__(self):
-        return hash(self.boundary)
+        return hash(self.tree)
 
     def __repr__(self):
         return "PantsSubtree(%s)" % ", ".join(str(c) for c in self.boundary)

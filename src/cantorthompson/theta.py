@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import Malformed, NotAPartition
 from .pantstree import CurveAddress, PantsSubtree
-from .treepair import Tree, TreePair
+from .treepair import Tree, TreePair, perm_class
 
 
 @dataclass(frozen=True)
@@ -39,20 +39,11 @@ class CombinatorialMappingClass:
 
     @property
     def tag(self) -> str:
-        """OP / PO / POP according to the order type of the bijection."""
-        n = len(self.perm)
-        if all(self.perm[i] == i for i in range(n)):
-            return "OP"
-        c = self.perm[0]
-        if all(self.perm[i] == (i + c) % n for i in range(n)):
-            return "PO"
-        return "POP"
+        """OP / PO / POP: the F / T / V order type of the bijection."""
+        return {"F": "OP", "T": "PO", "V": "POP"}[perm_class(self.perm)]
 
     def invert(self) -> "CombinatorialMappingClass":
-        inv = [0] * len(self.perm)
-        for i, j in enumerate(self.perm):
-            inv[j] = i
-        return CombinatorialMappingClass(self.range_subtree, self.domain_subtree, tuple(inv))
+        return _class_of(_pair(self).inverse_unreduced())
 
     def to_json(self) -> dict:
         return {
@@ -81,12 +72,24 @@ def identity_class(depth: int = 1) -> CombinatorialMappingClass:
     return CombinatorialMappingClass(tree, tree, tuple(range(len(curves))))
 
 
+def _pair(mc: CombinatorialMappingClass) -> TreePair:
+    """The unreduced tree pair of a class: its subtrees are already iota_C trees."""
+    return TreePair(mc.domain_subtree.to_tree(), mc.range_subtree.to_tree(), mc.perm)
+
+
+def _class_of(pair: TreePair) -> CombinatorialMappingClass:
+    """The class read off a pair whose trees both have at least two leaves."""
+    return CombinatorialMappingClass(
+        PantsSubtree.from_tree(pair.domain), PantsSubtree.from_tree(pair.range), pair.perm
+    )
+
+
 def theta(mc: CombinatorialMappingClass) -> TreePair:
     """The Thompson element of a mapping class: push both subtrees through iota_C.
 
     The result is reduced; its class (F/T/V) matches the OP/PO/POP tag.
     """
-    return TreePair(mc.domain_subtree.to_tree(), mc.range_subtree.to_tree(), mc.perm).reduce()
+    return _pair(mc).reduce()
 
 
 def realize(g: TreePair) -> CombinatorialMappingClass:
@@ -99,9 +102,7 @@ def realize(g: TreePair) -> CombinatorialMappingClass:
     g = g.reduce()
     if g.domain.is_leaf:
         return identity_class(1)
-    return CombinatorialMappingClass(
-        PantsSubtree.from_tree(g.domain), PantsSubtree.from_tree(g.range), g.perm
-    )
+    return _class_of(g)
 
 
 def depth_stabilize(mc: CombinatorialMappingClass) -> CombinatorialMappingClass:
@@ -110,15 +111,12 @@ def depth_stabilize(mc: CombinatorialMappingClass) -> CombinatorialMappingClass:
     This encodes that pants-level maps match boundary circles without
     twisting; theta is invariant under it.
     """
-    dom, ran, perm = [], [], []
-    n = len(mc.perm)
-    for i, c in enumerate(mc.domain_subtree.boundary):
-        dom.extend([c.left_child, c.right_child])
-        j = mc.perm[i]
-        perm.extend([2 * j, 2 * j + 1])
-    for c in mc.range_subtree.boundary:
-        ran.extend([c.left_child, c.right_child])
-    return CombinatorialMappingClass(PantsSubtree(dom), PantsSubtree(ran), tuple(perm))
+
+    def refine(subtree: PantsSubtree) -> Tree:
+        return Tree([a + (b,) for a in subtree.to_tree().addresses for b in (0, 1)])
+
+    perm = [2 * j + b for j in mc.perm for b in (0, 1)]
+    return _class_of(TreePair(refine(mc.domain_subtree), refine(mc.range_subtree), perm))
 
 
 def compose_classes(
@@ -130,16 +128,8 @@ def compose_classes(
     The result keeps its (unreduced) subtree data; reduction happens inside
     theta only.
     """
-    pair_b = TreePair(b.domain_subtree.to_tree(), b.range_subtree.to_tree(), b.perm)
-    pair_a = TreePair(a.domain_subtree.to_tree(), a.range_subtree.to_tree(), a.perm)
-    middle = pair_b.range.union(pair_a.domain)
-    eb = pair_b._expand_range_to(middle)
-    ea = pair_a._expand_domain_to(middle)
-    perm = tuple(ea.perm[eb.perm[i]] for i in range(middle.nleaves))
-    # middle has >= 2 leaves, so both sides stay genuine subtrees (depth >= 1)
-    return CombinatorialMappingClass(
-        PantsSubtree.from_tree(eb.domain), PantsSubtree.from_tree(ea.range), perm
-    )
+    # the common refinement has >= 2 leaves, so both sides stay genuine subtrees (depth >= 1)
+    return _class_of(_pair(a).compose_unreduced(_pair(b)))
 
 
 def kernel_test(mc: CombinatorialMappingClass) -> bool:

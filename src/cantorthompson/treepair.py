@@ -73,18 +73,6 @@ class Tree:
     def nleaves(self) -> int:
         return len(self.addresses)
 
-    @property
-    def left(self) -> "Tree":
-        if self.is_leaf:
-            raise ValueError("leaf has no children")
-        return Tree([a[1:] for a in self.addresses if a[0] == 0])
-
-    @property
-    def right(self) -> "Tree":
-        if self.is_leaf:
-            raise ValueError("leaf has no children")
-        return Tree([a[1:] for a in self.addresses if a[0] == 1])
-
     def intervals(self) -> list:
         return [_interval_of_bits(a) for a in self.addresses]
 
@@ -345,6 +333,21 @@ class PLMap:
         return f"PLMap({bits})"
 
 
+def perm_class(perm) -> str:
+    """Order type of a leaf bijection: "F" (identity), "T" (cyclic rotation) or "V".
+
+    The type is the same on every representative of an element, since
+    expanding a leaf of an identity or rotation bijection keeps it one.
+    """
+    n = len(perm)
+    if all(perm[i] == i for i in range(n)):
+        return "F"
+    c = perm[0]
+    if all(perm[i] == (i + c) % n for i in range(n)):
+        return "T"
+    return "V"
+
+
 class TreePair:
     """A Thompson group element as a (domain tree, range tree, leaf bijection).
 
@@ -453,13 +456,17 @@ class TreePair:
     def inverse(self) -> "TreePair":
         return self.inverse_unreduced().reduce()
 
-    def compose(self, other: "TreePair") -> "TreePair":
-        """self ∘ other: apply `other` first, then `self`.  Result is reduced."""
+    def compose_unreduced(self, other: "TreePair") -> "TreePair":
+        """self ∘ other over the common refinement of other.range and self.domain, not reduced."""
         middle = other.range.union(self.domain)
         b = other._expand_range_to(middle)
         a = self._expand_domain_to(middle)
         perm = [a.perm[b.perm[i]] for i in range(middle.nleaves)]
-        return TreePair(b.domain, a.range, perm).reduce()
+        return TreePair(b.domain, a.range, perm)
+
+    def compose(self, other: "TreePair") -> "TreePair":
+        """self ∘ other: apply `other` first, then `self`.  Result is reduced."""
+        return self.compose_unreduced(other).reduce()
 
     def __mul__(self, other):
         return self.compose(other)
@@ -477,14 +484,7 @@ class TreePair:
 
     def classify(self) -> str:
         """Smallest containing class of the reduced pair: "F", "T" or "V"."""
-        p = self.reduce()
-        n = p.nleaves
-        if all(p.perm[i] == i for i in range(n)):
-            return "F"
-        c = p.perm[0]
-        if all(p.perm[i] == (i + c) % n for i in range(n)):
-            return "T"
-        return "V"
+        return perm_class(self.reduce().perm)
 
     def to_pl_map(self) -> PLMap:
         """Piece i maps domain leaf interval i affinely onto range leaf interval perm[i]."""

@@ -247,13 +247,43 @@ def test_composed_dilatation_skips_interfaces():
     assert 1.0 < est.K < 300.0
 
 
-def test_length_model_collapses_under_proxy():
-    from cantorthompson.geometry import LengthModel
+def _L_rescan(bounds, d):
+    """Reference L(d): rescan the tail of the bounds."""
+    return max(bounds[d:])
 
-    model = LengthModel(W1)
-    assert model.m(7) == model.M(7) == model.length(7) == length_upper_bound(W1, 7)
-    with pytest.raises(ValueError):
-        LengthModel(W1, mode="per_curve")
+
+def _delta_omega_rescan(bounds, maxdepth):
+    """Reference delta(omega), one tail rescan per depth."""
+    return min(
+        collar_width(_L_rescan(bounds, d))
+        for d in range(1, maxdepth + 1)
+        if _L_rescan(bounds, d) > 0
+    )
+
+
+def test_depth_scale_matches_tail_rescan():
+    families = [
+        W1,
+        CantorParams.omega_k(3),
+        CantorParams.parse("geometric:1/16,1/16"),
+        CantorParams.parse("explicit:1/3,9/10,1/2,4/5,2/3"),  # proxy not monotone in d
+    ]
+    for w in families:
+        scale = depth_scale(w, 200)
+        assert scale.bounds == tuple(length_upper_bound(w, d) for d in range(1, 202))
+        for d in range(201):
+            assert scale.L(d) == _L_rescan(scale.bounds, d)
+        assert scale.delta_omega == _delta_omega_rescan(scale.bounds, 200)
+        with pytest.raises(ValueError):
+            scale.L(201)
+    explicit = depth_scale(families[3], 200)
+    assert explicit.L(1) != explicit.bound(2)  # the suffix max is not the next bound here
+    with pytest.raises(NotFoundWithinHorizon) as info:
+        d_of_K(W1, 2.0, 40)
+    assert str(info.value) == (
+        "K*L(d) < delta(omega) fails for all d <= 40: "
+        "min K*L(d) = 18.5218, delta(omega) = 0.000250875"
+    )
 
 
 def test_length_bound_to_zero_trend_on_omega_k():

@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -18,45 +14,16 @@ def test_numpy_path_matches_scalar_reference(L, q):
     z = _mesh(rng)
     want0 = np.array([k._psi0_point(complex(v), L, q) for v in z])
     want1 = np.array([k._psi1_point(complex(v), L, q) for v in z])
-    assert np.allclose(k.psi0_apply_numpy(z, L, q), want0, rtol=0, atol=1e-12 * max(L, 1))
-    assert np.allclose(k.psi1_apply_numpy(z, L, q), want1, rtol=0, atol=1e-12 * max(L, 1))
-
-
-@pytest.mark.skipif(not k.USING_NUMBA, reason="numba disabled in this process")
-@pytest.mark.parametrize("L,q", [(1.0, 0.5), (0.037, 0.9)])
-def test_numba_and_numpy_paths_agree(L, q):
-    rng = np.random.default_rng(2)
-    z = _mesh(rng)
-    scale = max(L, 1.0)
-    assert np.allclose(
-        k.psi0_apply_numba(z, L, q), k.psi0_apply_numpy(z, L, q), rtol=0, atol=1e-13 * scale
-    )
-    assert np.allclose(
-        k.psi1_apply_numba(z, L, q), k.psi1_apply_numpy(z, L, q), rtol=0, atol=1e-13 * scale
-    )
-    assert np.array_equal(k.region_ids_numba(z, L, q), k.region_ids_numpy(z, L, q))
+    assert np.allclose(k.psi0_apply(z, L, q), want0, rtol=0, atol=1e-12 * max(L, 1))
+    assert np.allclose(k.psi1_apply(z, L, q), want1, rtol=0, atol=1e-12 * max(L, 1))
 
 
 def test_region_ids_match_map_branches():
     rng = np.random.default_rng(3)
     z = _mesh(rng, 500)
     L, q = 1.0, 0.66
-    ids = k.region_ids_numpy(z, L, q)
+    ids = k.region_ids(z, L, q)
     for v, cell in zip(z, ids):
         reg0, reg1 = divmod(int(cell), 8)
         assert reg0 == k._region0_point(complex(v), L, q)
         assert reg1 == k._region1_point(k._psi0_point(complex(v), L, q), L, q)
-
-
-def test_env_flag_selects_numpy_path():
-    env = dict(os.environ, CANTORTHOMPSON_DISABLE_NUMBA="1")
-    code = (
-        "from cantorthompson import _kernels as k;"
-        "assert not k.USING_NUMBA;"
-        "assert k.psi0_apply is k.psi0_apply_numpy;"
-        "print('numpy-path')"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "numpy-path"

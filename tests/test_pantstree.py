@@ -56,6 +56,11 @@ def test_subtree_from_boundary_examples():
         subtree_from_boundary([C(1, 1), C(2, 3)])  # misses [3/4, 1]
     with pytest.raises(NotAPartition):
         subtree_from_boundary([C(1, 1), C(1, 2), C(2, 1)])  # overlap
+    s = subtree_from_boundary([C(2, 4), C(1, 1), C(2, 3)])  # any order
+    assert s.to_tree().to_string() == "clcll"
+    assert s.boundary == (C(1, 1), C(2, 3), C(2, 4))
+    with pytest.raises(NotAPartition):
+        subtree_from_boundary([])
 
 
 def test_pants_of_examples():
