@@ -149,20 +149,26 @@ class CantorParams:
 
     @staticmethod
     def parse(spec: str) -> "CantorParams":
-        """CLI form: "omega_k:2", "explicit:1/3,1/3", "geometric:1,1/2"."""
+        """CLI form: "omega_k:2", "explicit:1/3,1/3", "geometric:1,1/2".
+
+        A number that does not parse (such as 1/0) raises DegenerateParams.
+        """
         name, _, rest = spec.partition(":")
+        if name not in ("omega_k", "explicit", "geometric"):
+            raise DegenerateParams(f"unknown omega spec {spec!r}")
+        try:
+            parts = [int(rest)] if name == "omega_k" else [Fraction(t) for t in rest.split(",") if t]
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DegenerateParams(f"bad number in omega spec {spec!r}: {exc}") from exc
         if name == "omega_k":
-            return CantorParams.omega_k(int(rest))
+            return CantorParams.omega_k(*parts)
         if name == "explicit":
-            return CantorParams.explicit([Fraction(t) for t in rest.split(",") if t])
-        if name == "geometric":
-            parts = [Fraction(t) for t in rest.split(",") if t]
-            if len(parts) == 0:
-                return CantorParams.geometric()
-            if len(parts) == 2:
-                return CantorParams.geometric(*parts)
-            raise DegenerateParams("geometric takes 'a,r'")
-        raise DegenerateParams(f"unknown omega spec {spec!r}")
+            return CantorParams.explicit(parts)
+        if len(parts) == 0:
+            return CantorParams.geometric()
+        if len(parts) == 2:
+            return CantorParams.geometric(*parts)
+        raise DegenerateParams("geometric takes 'a,r'")
 
     def __str__(self):
         if self.family == "explicit":

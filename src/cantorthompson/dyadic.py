@@ -24,9 +24,11 @@ class Dyadic:
         if exp < 0:
             raise ValueError("exponent must be >= 0")
         num = int(num)
-        while exp > 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
+        if exp > 0:
+            # strip the common factors of 2 in one shift (zero becomes 0/2^0)
+            shift = exp if num == 0 else min(exp, (num & -num).bit_length() - 1)
+            num >>= shift
+            exp -= shift
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)
 
@@ -119,8 +121,8 @@ class Dyadic:
             return cls(int(top), int(bottom[2:]))
         den = int(bottom)
         exp = den.bit_length() - 1
-        if den != 1 << exp:
-            raise ValueError(f"denominator of {text!r} is not a power of two")
+        if den <= 0 or den != 1 << exp:
+            raise ValueError(f"denominator of {text!r} is not a positive power of two")
         return cls(int(top), exp)
 
     @classmethod

@@ -51,6 +51,10 @@ class Malformed(InputError):
     """Combinatorial mapping class violates its invariants."""
 
 
+class WordTooLong(InputError):
+    """Word whose size, the sum of |exponent| over its letters, exceeds the limit."""
+
+
 class NumericalBreakdown(CantorThompsonError):
     """|mu| >= 1 at a sample: the map data is not quasiconformal."""
 

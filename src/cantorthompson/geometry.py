@@ -121,8 +121,8 @@ def depth_scale(w: CantorParams, maxdepth: int) -> DepthScale:
 
 def _depth_of_K(w: CantorParams, K: float, maxdepth: int) -> tuple:
     """d_of_K together with the depth scale its scan built."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
+    if not (1 <= K < math.inf):  # also refuses nan
+        raise ValueError(f"K must be a finite number >= 1, not {K}")
     scale = depth_scale(w, maxdepth)
     target = scale.delta_omega
     for d in range(1, maxdepth + 1):

@@ -110,17 +110,21 @@ def pants_of(a) -> tuple:
 class PantsSubtree:
     """Subtree of the pants tree associated to an unbounded domain.
 
-    A view of its image tree iota_C(T_W): the leaf addresses of that tree are
-    the bits() of the boundary curves, in left-to-right order.  Vertices are
-    the boundary curves plus all their ancestors plus the root sentinel.
+    A view of its image tree iota_C(T_W): curve (d, j) is the tree leaf with
+    code (d, j - 1), and the boundary curves are the leaves in left-to-right
+    order.  Vertices are the boundary curves plus all their ancestors plus
+    the root sentinel.
     """
 
     __slots__ = ("tree",)
 
     def __init__(self, boundary):
-        curves = sorted(boundary, key=CurveAddress.bits)
+        codes = [(c.depth, c.index - 1) for c in boundary]
+        # left to right: by left endpoint, an ancestor before its descendants
+        top = max((d for d, _ in codes), default=0)
+        codes.sort(key=lambda c: (c[1] << (top - c[0]), c[0]))
         try:
-            tree = Tree([c.bits() for c in curves])
+            tree = Tree(codes=codes)
         except ValueError as exc:
             raise NotAPartition(f"boundary curves do not form a pants subtree: {exc}") from exc
         object.__setattr__(self, "tree", tree)
@@ -131,7 +135,7 @@ class PantsSubtree:
     @property
     def boundary(self) -> tuple:
         """The boundary curves, in left-to-right order."""
-        return tuple(CurveAddress.from_bits(a) for a in self.tree.addresses)
+        return tuple(CurveAddress(d, k + 1) for d, k in self.tree.codes)
 
     @property
     def nleaves(self) -> int:

@@ -113,7 +113,7 @@ def depth_stabilize(mc: CombinatorialMappingClass) -> CombinatorialMappingClass:
     """
 
     def refine(subtree: PantsSubtree) -> Tree:
-        return Tree([a + (b,) for a in subtree.to_tree().addresses for b in (0, 1)])
+        return Tree(codes=[(d + 1, 2 * k + b) for d, k in subtree.to_tree().codes for b in (0, 1)])
 
     perm = [2 * j + b for j in mc.perm for b in (0, 1)]
     return _class_of(TreePair(refine(mc.domain_subtree), refine(mc.range_subtree), perm))

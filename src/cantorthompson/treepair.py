@@ -9,9 +9,19 @@ are the order-preserving and cyclically-ordered special cases.
 Composition convention, fixed globally: ``compose(a, b)`` means *apply b
 first*, i.e. the function a∘b.  The PL oracle test pins this down.
 
-Trees are stored canonically as their ordered tuple of leaf addresses (tuples
-over {0, 1}, 0 = left).  A set of leaf addresses is a tree iff the
-corresponding standard dyadic intervals partition [0, 1].
+Trees are stored canonically as their ordered tuple of leaf codes
+``(depth, index)``: the leaf is the standard dyadic interval
+[index/2^depth, (index+1)/2^depth], the code `CurveAddress` uses with a
+0-based index.  A sequence of codes is a tree iff those intervals tile
+[0, 1] from left to right.  The public constructors check this once; the
+algebra below builds its results from valid trees, so it skips the check.
+
+Cost model: union, expansion, composition and reduction are single passes
+over the leaves, so composing pairs of n and m leaves costs O(n + m) leaf
+operations (on integers of at most depth bits).  Powers square repeatedly
+and `word_eval` multiplies its letters as a balanced product, so a word of
+size n costs O(n log n) leaf operations when its partial products keep about
+one leaf per letter.
 """
 
 from __future__ import annotations
@@ -19,124 +29,157 @@ from __future__ import annotations
 import re
 from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
 
 from .dyadic import Dyadic, DyadicInterval, ZERO, ONE
-from .errors import NotStandardPartition, NotThompson, OutOfDomain
+from .errors import NotStandardPartition, NotThompson, OutOfDomain, WordTooLong
 
-Address = tuple  # tuple of 0/1 bits, root to leaf
+# the largest word word_eval accepts: the sum of |exponent| over its letters
+MAX_WORD_SIZE = 10_000
+
+_BITS_TO_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_DIGITS_TO_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _interval_of_bits(bits: Address) -> DyadicInterval:
-    n = len(bits)
-    k = 0
-    for b in bits:
-        k = 2 * k + b
-    return DyadicInterval(Dyadic(k, n), Dyadic(k + 1, n))
+def _code_of_bits(bits) -> tuple:
+    """(depth, index) of a root-to-leaf bit tuple (0 = left)."""
+    bits = bytes(tuple(bits))
+    if not bits:
+        return (0, 0)
+    if bits.translate(None, b"\x00\x01"):
+        raise ValueError(f"leaf address {tuple(bits)} is not over {{0, 1}}")
+    return (len(bits), int(bits.translate(_BITS_TO_DIGITS), 2))
+
+
+def _bits_of_code(d: int, k: int) -> tuple:
+    return tuple(bin(k | 1 << d)[3:].encode().translate(_DIGITS_TO_BITS))
+
+
+def _check_tiling(codes) -> None:
+    """Raise ValueError unless the leaf codes tile [0, 1] from left to right.
+
+    Sibling leaves on top of a stack merge into their parent; the codes are
+    the leaves of a tree, in order, iff this leaves exactly the root.
+    """
+    if not codes:
+        raise ValueError("a tree has at least one leaf")
+    stack = []
+    for d, k in codes:
+        while k & 1 and stack and stack[-1] == (d, k - 1):
+            stack.pop()
+            d, k = d - 1, k >> 1
+        stack.append((d, k))
+    if stack != [(0, 0)]:
+        raise ValueError("leaf addresses do not tile [0,1]")
 
 
 class Tree:
-    """Ordered rooted binary tree, canonically a complete prefix code of leaf addresses."""
+    """Ordered rooted binary tree, canonically its left-to-right leaf codes (depth, index).
 
-    __slots__ = ("addresses",)
+    ``Tree(addresses)`` takes root-to-leaf bit tuples, ``Tree(codes=...)``
+    takes (depth, index) pairs; both check that the leaves tile [0, 1].
+    """
 
-    def __init__(self, addresses):
-        addresses = tuple(tuple(a) for a in addresses)
-        if not addresses:
-            raise ValueError("a tree has at least one leaf")
-        # complete prefix code <=> the leaf intervals tile [0,1] left to right
-        x = ZERO
-        for bits in addresses:
-            iv = _interval_of_bits(bits)
-            if iv.lo != x:
-                raise ValueError(f"leaf addresses do not tile [0,1]: gap/overlap at {iv.lo}")
-            x = iv.hi
-        if x != ONE:
-            raise ValueError("leaf addresses do not reach 1")
-        object.__setattr__(self, "addresses", addresses)
+    __slots__ = ("codes",)
+
+    def __init__(self, addresses=None, *, codes=None):
+        if (addresses is None) == (codes is None):
+            raise TypeError("Tree() takes leaf addresses or codes=, not both")
+        if codes is None:
+            codes = tuple(_code_of_bits(a) for a in addresses)
+        else:
+            codes = tuple((d, k) for d, k in codes)
+        _check_tiling(codes)
+        object.__setattr__(self, "codes", codes)
+
+    @classmethod
+    def _trusted(cls, codes: tuple) -> "Tree":
+        """A tree from codes already known to tile [0, 1] (not checked)."""
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "codes", codes)
+        return tree
 
     def __setattr__(self, name, value):
         raise AttributeError("Tree is immutable")
 
+    @property
+    def addresses(self) -> tuple:
+        """The leaves as root-to-leaf bit tuples (0 = left), left to right."""
+        return tuple(_bits_of_code(d, k) for d, k in self.codes)
+
     @classmethod
     def leaf(cls) -> "Tree":
-        return cls([()])
+        return cls._trusted(((0, 0),))
 
     @classmethod
     def caret(cls, left: "Tree", right: "Tree") -> "Tree":
-        return cls([(0,) + a for a in left.addresses] + [(1,) + a for a in right.addresses])
+        return cls._trusted(
+            tuple((d + 1, k) for d, k in left.codes) + tuple((d + 1, k | 1 << d) for d, k in right.codes)
+        )
 
     @property
     def is_leaf(self) -> bool:
-        return self.addresses == ((),)
+        return self.codes == ((0, 0),)
 
     @property
     def nleaves(self) -> int:
-        return len(self.addresses)
-
-    def intervals(self) -> list:
-        return [_interval_of_bits(a) for a in self.addresses]
+        return len(self.codes)
 
     def union(self, other: "Tree") -> "Tree":
         """Smallest common refinement (union of the two partitions' breakpoints)."""
         out, i, j = [], 0, 0
-        a, b = self.addresses, other.addresses
-        while i < len(a) and j < len(b):
+        a, b = self.codes, other.codes
+        na, nb = len(a), len(b)
+        # both tile [0,1], so a[i] and b[j] always start at the same point
+        while i < na:
             p, q = a[i], b[j]
             if p == q:
                 out.append(p)
                 i += 1
                 j += 1
-            elif len(p) < len(q) and q[: len(p)] == p:
-                while j < len(b) and b[j][: len(p)] == p:
+            elif p[0] < q[0]:  # b refines the leaf p
+                d, k = p
+                while j < nb and b[j][0] >= d and b[j][1] >> (b[j][0] - d) == k:
                     out.append(b[j])
                     j += 1
                 i += 1
-            elif len(q) < len(p) and p[: len(q)] == q:
-                while i < len(a) and a[i][: len(q)] == q:
+            else:  # a refines the leaf q
+                d, k = q
+                while i < na and a[i][0] >= d and a[i][1] >> (a[i][0] - d) == k:
                     out.append(a[i])
                     i += 1
                 j += 1
-            else:  # unreachable for valid trees
-                raise AssertionError("incomparable leaves in tree union")
-        return Tree(out)
+        return Tree._trusted(tuple(out))
 
     def to_string(self) -> str:
-        """Preorder serialization: 'c' for caret, 'l' for leaf (e.g. f0 domain = "clcll")."""
-        out = []
+        """Preorder serialization: 'c' for caret, 'l' for leaf (e.g. f0 domain = "clcll").
 
-        def walk(addrs):
-            if addrs == [()]:
-                out.append("l")
-                return
-            out.append("c")
-            walk([a[1:] for a in addrs if a[0] == 0])
-            walk([a[1:] for a in addrs if a[0] == 1])
-
-        walk(list(self.addresses))
-        return "".join(out)
+        A leaf is the leftmost leaf below as many carets as its index has
+        trailing zero bits (all d of them for index 0), so those carets open
+        right before it.
+        """
+        return "".join(
+            "c" * (d if k == 0 else (k & -k).bit_length() - 1) + "l" for d, k in self.codes
+        )
 
     @classmethod
     def from_string(cls, text: str) -> "Tree":
-        pos = 0
-
-        def parse() -> list:
-            nonlocal pos
-            if pos >= len(text):
-                raise ValueError(f"truncated tree string {text!r}")
-            c = text[pos]
-            pos += 1
+        codes = []
+        pending = [(0, 0)]  # nodes still to read, next one on top
+        for pos, c in enumerate(text):
+            if not pending:
+                raise ValueError(f"trailing garbage in tree string {text!r}")
+            d, k = pending.pop()
             if c == "l":
-                return [()]
-            if c == "c":
-                l = parse()
-                r = parse()
-                return [(0,) + a for a in l] + [(1,) + a for a in r]
-            raise ValueError(f"bad character {c!r} in tree string")
-
-        addrs = parse()
-        if pos != len(text):
-            raise ValueError(f"trailing garbage in tree string {text!r}")
-        return cls(addrs)
+                codes.append((d, k))
+            elif c == "c":
+                pending.append((d + 1, 2 * k + 1))
+                pending.append((d + 1, 2 * k))
+            else:
+                raise ValueError(f"bad character {c!r} in tree string")
+        if pending:
+            raise ValueError(f"truncated tree string {text!r}")
+        return cls(codes=codes)
 
     @classmethod
     def from_partition(cls, points) -> "Tree":
@@ -144,8 +187,6 @@ class Tree:
 
         Raises NotStandardPartition if some piece is not standard dyadic.
         """
-        from .dyadic import address_of_interval
-        from .errors import NotStandard
 
         def coerce(p):
             if isinstance(p, Dyadic):
@@ -167,20 +208,20 @@ class Tree:
             raise NotStandardPartition(str(exc)) from exc
         if len(pts) < 2 or pts[0] != ZERO or pts[-1] != ONE or any(not pts[i] < pts[i + 1] for i in range(len(pts) - 1)):
             raise NotStandardPartition(f"points {points!r} are not an increasing 0..1 partition")
-        addrs = []
+        codes = []
         for lo, hi in zip(pts, pts[1:]):
-            try:
-                s = address_of_interval(DyadicInterval(lo, hi))
-            except NotStandard as exc:
-                raise NotStandardPartition(str(exc)) from exc
-            addrs.append(tuple(0 if c == "L" else 1 for c in s))
-        return cls(addrs)
+            iv = DyadicInterval(lo, hi)
+            if not iv.is_standard:
+                raise NotStandardPartition(f"{iv} is not a standard dyadic interval")
+            n = iv.width.exp
+            codes.append((n, lo.num << (n - lo.exp)))
+        return cls(codes=codes)
 
     def __eq__(self, other):
-        return isinstance(other, Tree) and self.addresses == other.addresses
+        return isinstance(other, Tree) and self.codes == other.codes
 
     def __hash__(self):
-        return hash(self.addresses)
+        return hash(self.codes)
 
     def __repr__(self):
         return f"Tree({self.to_string()!r})"
@@ -227,10 +268,20 @@ class PLMap:
             y = ihi
         if y != ONE:
             raise NotThompson("image intervals do not reach 1")
-        object.__setattr__(self, "pieces", tuple(norm))
+        self._set_pieces(tuple(norm))
+
+    @classmethod
+    def _trusted(cls, pieces) -> "PLMap":
+        """A map from pieces (lo, hi, slope_log2, offset) in source order, known to be valid."""
+        pl = object.__new__(cls)
+        pl._set_pieces(tuple(pieces))
+        return pl
+
+    def _set_pieces(self, pieces: tuple) -> None:
+        object.__setattr__(self, "pieces", pieces)
         # piece lower endpoints as integers at a common power-of-2 scale (for bisect)
-        scale = max(p[0].exp for p in norm)
-        keys = [p[0].num << (scale - p[0].exp) for p in norm]
+        scale = max(p[0].exp for p in pieces)
+        keys = [p[0].num << (scale - p[0].exp) for p in pieces]
         object.__setattr__(self, "_piece_keys", (keys, scale))
 
     def __setattr__(self, name, value):
@@ -367,12 +418,22 @@ class TreePair:
         object.__setattr__(self, "range", range_)
         object.__setattr__(self, "perm", perm)
 
+    @classmethod
+    def _trusted(cls, domain: Tree, range_: Tree, perm: tuple) -> "TreePair":
+        """A pair from data already known to match (not checked)."""
+        pair = object.__new__(cls)
+        object.__setattr__(pair, "domain", domain)
+        object.__setattr__(pair, "range", range_)
+        object.__setattr__(pair, "perm", perm)
+        return pair
+
     def __setattr__(self, name, value):
         raise AttributeError("TreePair is immutable")
 
     @classmethod
     def identity(cls) -> "TreePair":
-        return cls(Tree.leaf(), Tree.leaf(), (0,))
+        leaf = Tree.leaf()
+        return cls._trusted(leaf, leaf, (0,))
 
     @property
     def nleaves(self) -> int:
@@ -386,63 +447,64 @@ class TreePair:
     def reduce(self) -> "TreePair":
         """Unique reduced representative: cancel exposed caret pairs until none remain.
 
-        A caret pair cancels when domain leaves (i, i+1) are siblings matched in
-        order onto range leaves (j, j+1) that are also siblings.  Cancelling the
-        smallest i first makes the procedure deterministic; confluence is
-        property-tested, not proven here.
+        A caret pair cancels when domain leaves (i, i+1) are siblings matched
+        onto range leaves that are siblings in the same order.  One left to
+        right pass over the domain leaves keeps a stack of (domain node, range
+        node) matches with no cancelling neighbours; a cancellation merges the
+        top two, and only the merged match and its left neighbour can form a
+        new pair.  The result has no exposed caret pair, so it is the reduced
+        diagram of the element, which is unique (Cannon-Floyd-Parry, §2).
+        Cancelling in any other order gives the same pair; this is
+        property-tested, with a restart-from-leaf-0 reduction as reference.
         """
-        dom = list(self.domain.addresses)
-        ran = list(self.range.addresses)
-        perm = list(self.perm)
-        changed = True
-        while changed and len(dom) > 1:
-            changed = False
-            for i in range(len(dom) - 1):
-                a, b = dom[i], dom[i + 1]
-                if a[:-1] != b[:-1] or a[-1] != 0 or b[-1] != 1:
-                    continue
-                j = perm[i]
-                if perm[i + 1] != j + 1:
-                    continue
-                p, q = ran[j], ran[j + 1]
-                if p[:-1] != q[:-1] or p[-1] != 0 or q[-1] != 1:
-                    continue
-                dom[i] = a[:-1]
-                del dom[i + 1]
-                ran[j] = p[:-1]
-                del ran[j + 1]
-                del perm[i + 1]
-                perm = [k - 1 if k > j else k for k in perm]
-                changed = True
-                break
-        return TreePair(Tree(dom), Tree(ran), perm)
+        dom, ran = self.domain.codes, self.range.codes
+        # (domain depth, domain index, range depth, range index, first range leaf)
+        stack = []
+        for (dd, dk), j in zip(dom, self.perm):
+            rd, rk = ran[j]
+            while dk & 1 and rk & 1 and stack:
+                pd, pk, qd, qk, pj = stack[-1]
+                if pd != dd or pk != dk - 1 or qd != rd or qk != rk - 1:
+                    break
+                stack.pop()
+                dd, dk, rd, rk, j = dd - 1, dk >> 1, rd - 1, rk >> 1, pj
+            stack.append((dd, dk, rd, rk, j))
+        if len(stack) == len(dom):
+            return self
+        # a merged match keeps its first range leaf, so these orders agree
+        slot = [-1] * len(ran)
+        for i, entry in enumerate(stack):
+            slot[entry[4]] = i
+        new_ran, perm = [], [0] * len(stack)
+        for i in slot:
+            if i >= 0:
+                perm[i] = len(new_ran)
+                new_ran.append(stack[i][2:4])
+        new_dom = tuple(entry[:2] for entry in stack)
+        return TreePair._trusted(Tree._trusted(new_dom), Tree._trusted(tuple(new_ran)), tuple(perm))
 
     # -- expansion and composition --
 
     def _expand_range_to(self, target: Tree) -> "TreePair":
         """Equivalent pair whose range tree is `target` (a refinement of self.range)."""
-        ran = self.range.addresses
-        tgt = target.addresses
-        blocks = []  # per range leaf: list of suffixes below it in target
+        tgt = target.codes
+        nt = len(tgt)
+        blocks, starts = [], []  # per range leaf: the codes below it in target, relative to it
         t = 0
-        for leaf in ran:
-            suf = []
-            while t < len(tgt) and tgt[t][: len(leaf)] == leaf:
-                suf.append(tgt[t][len(leaf):])
+        for d, k in self.range.codes:
+            s = t
+            while t < nt and tgt[t][0] >= d and tgt[t][1] >> (tgt[t][0] - d) == k:
                 t += 1
-            if not suf:
+            if t == s:
                 raise ValueError("target is not a refinement of the range tree")
-            blocks.append(suf)
-        starts = [0]
-        for suf in blocks:
-            starts.append(starts[-1] + len(suf))
+            blocks.append([(e - d, m - (k << (e - d))) for e, m in tgt[s:t]])
+            starts.append(s)
         new_dom, new_perm = [], []
-        for i, leaf in enumerate(self.domain.addresses):
-            j = self.perm[i]
-            for k, suffix in enumerate(blocks[j]):
-                new_dom.append(leaf + suffix)
-                new_perm.append(starts[j] + k)
-        return TreePair(Tree(new_dom), target, new_perm)
+        for (d, k), j in zip(self.domain.codes, self.perm):
+            block = blocks[j]
+            new_dom.extend((d + e, (k << e) | m) for e, m in block)
+            new_perm.extend(range(starts[j], starts[j] + len(block)))
+        return TreePair._trusted(Tree._trusted(tuple(new_dom)), target, tuple(new_perm))
 
     def _expand_domain_to(self, target: Tree) -> "TreePair":
         return self.inverse_unreduced()._expand_range_to(target).inverse_unreduced()
@@ -451,7 +513,7 @@ class TreePair:
         inv = [0] * len(self.perm)
         for i, j in enumerate(self.perm):
             inv[j] = i
-        return TreePair(self.range, self.domain, inv)
+        return TreePair._trusted(self.range, self.domain, tuple(inv))
 
     def inverse(self) -> "TreePair":
         return self.inverse_unreduced().reduce()
@@ -461,8 +523,8 @@ class TreePair:
         middle = other.range.union(self.domain)
         b = other._expand_range_to(middle)
         a = self._expand_domain_to(middle)
-        perm = [a.perm[b.perm[i]] for i in range(middle.nleaves)]
-        return TreePair(b.domain, a.range, perm)
+        a_perm = a.perm
+        return TreePair._trusted(b.domain, a.range, tuple(a_perm[j] for j in b.perm))
 
     def compose(self, other: "TreePair") -> "TreePair":
         """self ∘ other: apply `other` first, then `self`.  Result is reduced."""
@@ -472,13 +534,19 @@ class TreePair:
         return self.compose(other)
 
     def __pow__(self, k: int):
+        """self^k by repeated squaring: O(log |k|) compositions."""
         if k == 0:
             return TreePair.identity()
-        base = self if k > 0 else self.inverse()
-        out = base
-        for _ in range(abs(k) - 1):
-            out = out.compose(base)
-        return out
+        square = self if k > 0 else self.inverse()
+        k = abs(k)
+        out = None
+        while True:
+            if k & 1:
+                out = square if out is None else out.compose(square)
+            k >>= 1
+            if not k:
+                return out
+            square = square.compose(square)
 
     # -- classification and PL form --
 
@@ -488,16 +556,13 @@ class TreePair:
 
     def to_pl_map(self) -> PLMap:
         """Piece i maps domain leaf interval i affinely onto range leaf interval perm[i]."""
-        dom = self.domain.intervals()
-        ran = self.range.intervals()
+        ran = self.range.codes
         pieces = []
-        for i, src in enumerate(dom):
-            dst = ran[self.perm[i]]
-            m = len(self.domain.addresses[i]) - len(self.range.addresses[self.perm[i]])
-            slope = 1 << m if m >= 0 else Fraction(1, 1 << -m)
-            offset = dst.lo - PLMap._apply(m, ZERO, src.lo)
-            pieces.append((src.lo, src.hi, slope, offset))
-        return PLMap(pieces)
+        for (d, k), j in zip(self.domain.codes, self.perm):
+            e, m = ran[j]
+            # [k, k+1]/2^d -> [m, m+1]/2^e is x -> 2^(d-e) x + (m - k)/2^e
+            pieces.append((Dyadic(k, d), Dyadic(k + 1, d), d - e, Dyadic(m - k, e)))
+        return PLMap._trusted(pieces)
 
     def eval(self, x) -> Dyadic:
         return self.to_pl_map().eval(x)
@@ -544,31 +609,28 @@ def from_pl_map(m) -> TreePair:
     """
     if not isinstance(m, PLMap):
         m = PLMap(m)
-    src_addr, img_pairs = [], []
+    dom, img = [], []  # source cell codes, and image cell codes in source order
     for lo, hi, slope_m, o in m.pieces:
+        # a cell of depth n >= n_min at a multiple of 2^-n has a standard image
         n_min = max(0, slope_m + o.exp)
-        x = lo
-        while x < hi:
-            n = max(n_min, x.exp)
-            while x + Dyadic(1, n) > hi:
-                n += 1
-            cell = DyadicInterval(x, x + Dyadic(1, n))
-            img_lo = PLMap._apply(slope_m, o, cell.lo)
-            img_hi = PLMap._apply(slope_m, o, cell.hi)
-            src_addr.append(cell)
-            img_pairs.append(DyadicInterval(img_lo, img_hi))
-            x = cell.hi
-    order = sorted(range(len(img_pairs)), key=lambda i: img_pairs[i].lo.as_fraction())
+        x, n = lo.num, lo.exp  # the cursor x/2^n, a multiple of 2^-n
+        while True:
+            while n < n_min or (x + 1) << hi.exp > hi.num << n:  # [x, x+1]/2^n leaves [lo, hi)
+                x, n = x << 1, n + 1
+            dom.append((n, x))
+            img.append((n - slope_m, x + (o.num << (n - slope_m - o.exp))))
+            x += 1
+            if x << hi.exp == hi.num << n:
+                break
+            while n > 0 and not x & 1:
+                x, n = x >> 1, n - 1
+    top = max(e for e, _ in img)
+    order = sorted(range(len(img)), key=lambda i: img[i][1] << (top - img[i][0]))
     rank = [0] * len(order)
     for pos, i in enumerate(order):
         rank[i] = pos
-    from .dyadic import address_of_interval
-
-    dom = Tree([tuple(0 if c == "L" else 1 for c in address_of_interval(iv)) for iv in src_addr])
-    ran = Tree(
-        [tuple(0 if c == "L" else 1 for c in address_of_interval(img_pairs[i])) for i in order]
-    )
-    return TreePair(dom, ran, rank).reduce()
+    ran = tuple(img[i] for i in order)
+    return TreePair._trusted(Tree._trusted(tuple(dom)), Tree._trusted(ran), tuple(rank)).reduce()
 
 
 # -- the standard generating maps as affine pieces on [0,1) (f2/f3 wrap mod 1) --
@@ -592,27 +654,51 @@ def generator_pl_map(name: str) -> PLMap:
     return PLMap(_GENERATOR_PIECES[name])
 
 
+@lru_cache(maxsize=None)
 def generator(name: str) -> TreePair:
+    """The reduced pair of f0..f3, built on first use and kept."""
     return from_pl_map(generator_pl_map(name))
 
 
 _WORD_TOKEN = re.compile(r"^f([0-3])(?:\^(-?\d+))?$")
 
 
+def _check_word_size(word) -> None:
+    size = sum(abs(e) for _, e in word)
+    if size > MAX_WORD_SIZE:
+        raise WordTooLong(f"word of size {size} (the sum of |exponent|) exceeds {MAX_WORD_SIZE}")
+
+
 def parse_word(text: str) -> list:
-    """Parse e.g. "f0 f1^-1 f2^2" into [(name, exponent), ...]."""
+    """Parse e.g. "f0 f1^-1 f2^2" into [(name, exponent), ...].
+
+    Raises WordTooLong past MAX_WORD_SIZE.
+    """
     word = []
     for token in text.split():
         m = _WORD_TOKEN.match(token)
         if not m:
             raise ValueError(f"bad word token {token!r} (expected f[0-3] or f[0-3]^k)")
         word.append((f"f{m.group(1)}", int(m.group(2)) if m.group(2) else 1))
+    _check_word_size(word)
     return word
 
 
 def word_eval(word) -> TreePair:
-    """Left-to-right composition g1^e1 ∘ g2^e2 ∘ ... (rightmost applied first), reduced."""
-    out = TreePair.identity()
-    for name, exponent in word:
-        out = out.compose(generator(name) ** exponent)
-    return out.reduce()
+    """Left-to-right composition g1^e1 ∘ g2^e2 ∘ ... (rightmost applied first), reduced.
+
+    The letters are multiplied as a balanced product, adjacent pairs first,
+    which the associativity of composition allows.  Raises WordTooLong past
+    MAX_WORD_SIZE, before any power is built.
+    """
+    word = list(word)
+    _check_word_size(word)
+    factors = [generator(name) ** exponent for name, exponent in word]
+    if not factors:
+        return TreePair.identity()
+    while len(factors) > 1:
+        paired = [factors[i].compose(factors[i + 1]) for i in range(0, len(factors) - 1, 2)]
+        if len(factors) % 2:
+            paired.append(factors[-1])
+        factors = paired
+    return factors[0].reduce()
